@@ -317,7 +317,7 @@ class _Filter(PhysNode):
         return [row for row in self.source.rows(run) if predicate(row, params)]
 
 
-class _ProjectNode(PhysNode):
+class _Project(PhysNode):
     __slots__ = ("source", "spec", "missing")
 
     def __init__(
@@ -358,7 +358,7 @@ class _ProjectNode(PhysNode):
         ]
 
 
-class _JoinNode(PhysNode):
+class _Join(PhysNode):
     __slots__ = ("left", "right", "spec", "left_pad", "right_pad", "index_key")
 
     def __init__(
@@ -404,7 +404,7 @@ class _JoinNode(PhysNode):
         )
 
 
-class _UnionNode(PhysNode):
+class _Union(PhysNode):
     __slots__ = ("branches",)
 
     def __init__(
@@ -571,7 +571,7 @@ class _Lowerer:
                 return _Empty(query.output_names)
             # holds for every produced row: the conjunct dissolves
         child = self.lower(query.source, tuple(child_cs))
-        node: PhysNode = _ProjectNode(child, query.items, query.output_names)
+        node: PhysNode = _Project(child, query.items, query.output_names)
         if residual:
             node = _Filter(node, compile_predicate(and_(*residual)))
         return node
@@ -619,7 +619,7 @@ class _Lowerer:
                 right_cs.append(atom)
         left_node = self.lower(query.left, tuple(left_cs))
         right_node = self.lower(query.right, tuple(right_cs))
-        node: PhysNode = _JoinNode(
+        node: PhysNode = _Join(
             left_node, right_node, spec, left_pad, right_pad, columns
         )
         if residual:
@@ -641,7 +641,7 @@ class _Lowerer:
                 branches.append(_Empty(branch_columns))
             else:
                 branches.append(self.lower(branch, cs))
-        return _UnionNode(tuple(branches), columns)
+        return _Union(tuple(branches), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,8 @@ class SessionEngine:
         *make_results* builds the next epoch's result-tier slice.  It
         runs after the mutation succeeded (so it can read the post-write
         store state) and before the swap; if it fails, the tier degrades
-        to an empty successor — dropping cached answers is always
-        correct, serving stale ones never is.
+        to an empty successor, counted in its ``fallbacks`` — dropping
+        cached answers is always correct, serving stale ones never is.
         """
         old_view = self._epoch.view
         self._version += 1  # odd: live readers back off
@@ -315,6 +315,7 @@ class SessionEngine:
             )
         except Exception:
             results = self._epoch.results.empty_successor()
+            results.fallbacks += 1
         self._epoch = self._next_epoch(model, plan_cache, fingerprint, results)
         self._version += 1  # even: publication complete
         old_view.release()

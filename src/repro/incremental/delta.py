@@ -22,7 +22,7 @@ inverses need no access to the pre-change model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.edm.association import AssociationSet
 from repro.edm.entity import EntitySet, EntityType
@@ -524,6 +524,53 @@ class MappingDelta:
 
     def __str__(self) -> str:
         return f"MappingDelta({len(self.ops)} ops: {', '.join(self.summary())})"
+
+
+@dataclass(frozen=True)
+class InvalidationScope:
+    """What a :class:`MappingDelta` can stale in a serving-side cache.
+
+    The raw touched names are unioned with the neighborhood resolved
+    against the evolved mapping: raw names cover elements the delta
+    *dropped* (which no longer resolve), and associations surface only
+    there; resolution adds the sets reached through types and
+    association ends.  A name the evolved schema no longer knows is
+    stale as well.
+    """
+
+    sets: FrozenSet[str]
+    assocs: FrozenSet[str]
+    tables: FrozenSet[str]
+    #: the evolved client schema
+    schema: object
+
+    def stales_set(self, set_name: str) -> bool:
+        return set_name in self.sets or not self.schema.has_entity_set(set_name)
+
+    def stales_tables(self, tables: Iterable[str]) -> bool:
+        return not self.tables.isdisjoint(tables)
+
+    def stales_sources(self, sources: Iterable[str]) -> bool:
+        """Whether any scanned entity set or association is stale."""
+        schema = self.schema
+        return any(
+            name in self.sets
+            or name in self.assocs
+            or not (schema.has_entity_set(name) or schema.has_association(name))
+            for name in sources
+        )
+
+
+def invalidation_scope(delta: MappingDelta, mapping) -> InvalidationScope:
+    """The cache-invalidation scope of *delta* against the evolved *mapping*."""
+    raw = delta.touched()
+    hood = delta.touched_neighborhood(mapping)
+    return InvalidationScope(
+        sets=frozenset(raw.sets) | frozenset(hood.sets),
+        assocs=frozenset(raw.assocs),
+        tables=frozenset(raw.tables) | frozenset(hood.tables),
+        schema=mapping.client_schema,
+    )
 
 
 # ----------------------------------------------------------------------

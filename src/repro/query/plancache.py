@@ -61,6 +61,7 @@ from repro.algebra.queries import Const, Query, Select, TableScan
 from repro.backend.sqlgen import CompiledSql, SqlCompiler
 from repro.containment.cache import client_slice_tokens, fingerprint
 from repro.errors import EvaluationError
+from repro.incremental.delta import invalidation_scope
 from repro.query.language import EntityQuery
 from repro.query.unfold import (
     UnfoldedBranch,
@@ -480,24 +481,14 @@ class PlanCache:
         delta *dropped*, which no longer resolve).  Everything else keeps
         serving — the neighborhood principle on the serving side.
         """
-        raw = delta.touched()
-        hood = delta.touched_neighborhood(mapping)
-        touched_sets = set(raw.sets) | set(hood.sets)
-        touched_tables = set(raw.tables) | set(hood.tables)
-        schema = mapping.client_schema if hasattr(mapping, "client_schema") else mapping
+        scope = invalidation_scope(delta, mapping)
         evicted = 0
         with self._lock:
             for set_name in list(self._set_meta):
-                if set_name in touched_sets or not schema.has_entity_set(set_name):
+                if scope.stales_set(set_name):
                     del self._set_meta[set_name]
             for key in list(self._plans):
-                set_name = key[0]
-                plan = self._plans[key]
-                if (
-                    set_name in touched_sets
-                    or not schema.has_entity_set(set_name)
-                    or (plan.tables & touched_tables)
-                ):
+                if scope.stales_set(key[0]) or scope.stales_tables(self._plans[key].tables):
                     del self._plans[key]
                     evicted += 1
             if evicted:

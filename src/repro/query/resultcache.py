@@ -12,28 +12,21 @@ over verbatim.
 What makes the tier worth having is that entries *survive writes*: on an
 incremental save the signed store DML the write path already computed
 (a :class:`~repro.query.dml.StoreDelta`) is propagated through each
-cached plan's branch operators by read-side delta rules mirroring the
-``ivm/writeplan`` counting algebra —
+cached plan's branch operators, lowered onto the counting-delta algebra
+of :mod:`repro.ivm.algebra` — the same delta rules the write path runs,
+with store-table scans as the leaves (a table scan's delta is the
+delta's own ±rows; an update is −old, +new).
 
-* table scan — the delta's own ±rows (update = −old, +new);
-* select     — filter each signed row by the (bound) condition;
-* project    — map each signed row through the projection items;
-* union-all  — concatenate branch deltas, NULL-padded to the union width;
-* ⋈ on k     — ``ΔL ⋈ R_new + L_old ⋈ ΔR``;
-* ⟕ on k     — the same two terms plus *pad transitions*: at a join key
-  whose right match count crosses 0 ↔ positive, the old left rows at
-  that key lose or gain their NULL-padded row.
-
-Each entry keeps a per-branch bag of store-level output rows with
-multiplicity counts whose support is exactly
+Each entry keeps a per-branch bag (dedup key of a store-level output
+row → multiplicity) whose support is exactly
 :func:`~repro.algebra.evaluate.evaluate_query`'s deduplicated output, so
-applying the signed stream and re-filtering through the entry's bound
-root predicate reconstructs the fresh answer in O(|Δ|) — probes go
-through :meth:`~repro.relational.instances.StoreState.key_index`, never
-a table scan.  Shapes the rules cannot maintain (full outer joins,
-non-key join probes) mark the entry *unmaintainable*: it still serves
-warm reads, but any write touching its tables invalidates it — always
-correct, never stale.
+applying the signed stream reconstructs the fresh answer in O(|Δ|) —
+probes go through
+:meth:`~repro.relational.instances.StoreState.key_index`, never a table
+scan.  Shapes the rules cannot maintain (full outer joins, non-key join
+probes) mark the entry *unmaintainable*: it still serves warm reads, but
+any write touching its tables invalidates it — always correct, never
+stale.
 
 Lifecycle, mirrored from the epoch engine's write paths:
 
@@ -63,31 +56,26 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.conditions import evaluate_condition
 from repro.algebra.evaluate import (
     RowDict,
     StoreContext,
     TYPE_TAG,
-    _RowConditionContext,
     evaluate_query_bag,
-    join_key,
-    join_rows,
-    join_spec,
-    output_columns,
 )
-from repro.algebra.queries import (
-    Const,
-    Join,
-    LeftOuterJoin,
-    Project,
-    Query,
-    Select,
-    TableScan,
-    UnionAll,
-)
+from repro.algebra.queries import Const, Query, TableScan
 from repro.errors import EvaluationError, IvmError
+from repro.incremental.delta import invalidation_scope
+from repro.ivm.algebra import (
+    Node,
+    Probe,
+    Runtime,
+    Signed,
+    compile_delta,
+    fold_signed,
+    never_probe,
+)
 from repro.query.dml import StoreDelta
 from repro.query.unfold import UnfoldedBranch
 from repro.relational.instances import (
@@ -100,9 +88,6 @@ from repro.relational.schema import StoreSchema
 #: default LRU budget in cells (rows × width summed over all entries)
 DEFAULT_RESULT_BUDGET = 2_000_000
 
-Signed = Tuple[int, RowDict]
-Probe = Callable[["_ReadRuntime", Tuple[object, ...], bool], List[RowDict]]
-
 #: the dedup identity of one store-level output row — must match
 #: :func:`~repro.algebra.evaluate.evaluate_query` exactly, because the
 #: bag's support stands in for its deduplicated output
@@ -113,60 +98,30 @@ def _dedup_key(row: RowDict) -> RowKey:
     return tuple(sorted((k, v) for k, v in row.items() if k != TYPE_TAG))
 
 
-class _ReadRuntime:
-    """Everything the read-side delta rules consume for one maintenance."""
+class _ReadRuntime(Runtime):
+    """A store delta over the *new* store state; ``touched`` is the set
+    of tables the delta changes."""
 
-    __slots__ = ("delta", "state", "context", "touched", "fallback_probes")
+    __slots__ = ()
 
     def __init__(self, delta: StoreDelta, state: StoreState) -> None:
-        self.delta = delta
-        #: the *new* store state (the delta has already been applied)
-        self.state = state
-        self.context = StoreContext(state)
-        self.touched: FrozenSet[str] = frozenset(
-            name for name, td in delta.tables.items() if not td.empty
+        super().__init__(
+            delta,
+            state,
+            StoreContext(state),
+            frozenset(name for name, td in delta.tables.items() if not td.empty),
         )
-        self.fallback_probes = 0
 
 
-def _matches(
-    row: RowDict, columns: Tuple[str, ...], values: Tuple[object, ...]
-) -> bool:
-    return all(row.get(c) == v for c, v in zip(columns, values))
-
-
-def _never_probe(
-    rt: "_ReadRuntime", values: Tuple[object, ...], old: bool
-) -> List[RowDict]:
-    return []
-
-
-class _Node:
-    """One lowered operator: a delta rule plus keyed-probe compilation.
-
-    ``tables`` is the set of store tables under the subtree — a delta
-    touching none of them propagates nothing, which is what lets a
-    maintenance pass skip whole branches without evaluating them.
-    """
-
-    __slots__ = ("columns", "tables")
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        raise NotImplementedError
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        raise NotImplementedError
-
-
-class _TableNode(_Node):
+class _TableNode(Node):
     __slots__ = ("table_name",)
 
     def __init__(self, table_name: str, columns: Tuple[str, ...]) -> None:
         self.table_name = table_name
         self.columns = columns
-        self.tables = frozenset((table_name,))
+        self.sources = frozenset((table_name,))
 
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
+    def delta(self, rt: Runtime) -> List[Signed]:
         td = rt.delta.tables.get(self.table_name)
         if td is None:
             return []
@@ -183,11 +138,11 @@ class _TableNode(_Node):
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         known = set(self.columns)
         if any(c not in known for c in columns):
-            return _never_probe
+            return never_probe
         table_name = self.table_name
 
         def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
+            rt: Runtime, values: Tuple[object, ...], old: bool
         ) -> List[RowDict]:
             # key_index is built lazily once per (table, columns) and
             # carried across successor states, so the steady state is an
@@ -221,300 +176,15 @@ class _TableNode(_Node):
         return probe
 
 
-class _SelectNode(_Node):
-    __slots__ = ("source", "condition")
-
-    def __init__(self, source: _Node, condition) -> None:
-        self.source = source
-        self.condition = condition
-        self.columns = source.columns
-        self.tables = source.tables
-
-    def _keep(self, rt: _ReadRuntime, row: RowDict) -> bool:
-        return evaluate_condition(
-            self.condition, _RowConditionContext(row, rt.context)
-        )
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        return [(s, r) for s, r in self.source.delta(rt) if self._keep(rt, r)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        source_probe = self.source.make_probe(columns)
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            return [
-                r for r in source_probe(rt, values, old) if self._keep(rt, r)
-            ]
-
-        return probe
-
-
-class _ProjectNode(_Node):
-    __slots__ = ("source", "items")
-
-    def __init__(self, source: _Node, items) -> None:
-        self.source = source
-        self.items = items
-        self.columns = tuple(item.output for item in items)
-        self.tables = source.tables
-
-    def _project(self, row: RowDict) -> RowDict:
-        out: RowDict = {}
-        for item in self.items:
-            if isinstance(item.expr, Const):
-                out[item.output] = item.expr.value
-            else:
-                name = item.expr.name
-                if name not in row:
-                    raise EvaluationError(
-                        f"projection references missing column {name!r} "
-                        f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
-                    )
-                out[item.output] = row[name]
-        return out
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        return [(s, self._project(r)) for s, r in self.source.delta(rt)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        by_output = {item.output: item for item in self.items}
-        pinned: List[Tuple[int, object]] = []
-        source_columns: List[str] = []
-        source_slots: List[int] = []
-        for i, column in enumerate(columns):
-            item = by_output.get(column)
-            if item is None:
-                return _never_probe
-            if isinstance(item.expr, Const):
-                pinned.append((i, item.expr.value))
-            else:
-                source_columns.append(item.expr.name)
-                source_slots.append(i)
-        source_probe = self.source.make_probe(tuple(source_columns))
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            for i, pin in pinned:
-                if values[i] != pin:
-                    return []
-            sub_values = tuple(values[i] for i in source_slots)
-            rows = (self._project(r) for r in source_probe(rt, sub_values, old))
-            return [r for r in rows if _matches(r, columns, values)]
-
-        return probe
-
-
-class _UnionNode(_Node):
-    __slots__ = ("branches",)
-
-    def __init__(
-        self, branches: Tuple[_Node, ...], all_columns: Tuple[str, ...]
-    ) -> None:
-        self.branches = branches
-        self.columns = all_columns
-        self.tables = frozenset().union(*(b.tables for b in branches))
-
-    def _pad(self, row: RowDict) -> RowDict:
-        return {column: row.get(column) for column in self.columns}
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        for branch in self.branches:
-            if not (branch.tables & rt.touched):
-                continue
-            out.extend((s, self._pad(r)) for s, r in branch.delta(rt))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        branch_probes = [b.make_probe(columns) for b in self.branches]
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            out: List[RowDict] = []
-            for bp in branch_probes:
-                padded = (self._pad(r) for r in bp(rt, values, old))
-                out.extend(r for r in padded if _matches(r, columns, values))
-            return out
-
-        return probe
-
-
-class _JoinNode(_Node):
-    """Inner join: ``ΔL ⋈ R_new + L_old ⋈ ΔR`` (no pad terms)."""
-
-    __slots__ = ("left", "right", "on", "spec", "left_probe", "right_probe")
-
-    def __init__(
-        self, left: _Node, right: _Node, on: Optional[Tuple[str, ...]]
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.spec = join_spec(left.columns, right.columns, on)
-        if not self.spec.join_columns:
-            raise IvmError("cannot maintain a cross join incrementally")
-        self.on = self.spec.join_columns
-        self.left_probe = left.make_probe(self.on)
-        self.right_probe = right.make_probe(self.on)
-        self.columns = left.columns + tuple(
-            c for c in right.columns if c not in left.columns
-        )
-        self.tables = left.tables | right.tables
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        spec = self.spec
-        if self.left.tables & rt.touched:
-            for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                if key is None:
-                    continue
-                matches = self.right_probe(rt, key, False)
-                for row in join_rows([lrow], matches, spec, False, False):
-                    out.append((sign, row))
-        if self.right.tables & rt.touched:
-            for sign, rrow in self.right.delta(rt):
-                key = join_key(rrow, self.on)
-                if key is None:
-                    continue
-                left_old = self.left_probe(rt, key, True)
-                if not left_old:
-                    continue
-                for row in join_rows(left_old, [rrow], spec, False, False):
-                    out.append((sign, row))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        if tuple(columns) != tuple(self.on):
-            raise IvmError(
-                f"join probe on {columns!r} does not match join key {self.on!r}"
-            )
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            left_rows = self.left_probe(rt, values, old)
-            if not left_rows:
-                return []
-            right_rows = self.right_probe(rt, values, old)
-            return join_rows(left_rows, right_rows, self.spec, False, False)
-
-        return probe
-
-
-class _LojNode(_Node):
-    """``ΔL ⟕ R_new + L_old ⋈ ΔR`` plus pad transitions — the exact rule
-    of :class:`repro.ivm.writeplan._LojNode`, lowered over table scans."""
-
-    __slots__ = ("left", "right", "on", "spec", "left_probe", "right_probe")
-
-    def __init__(
-        self, left: _Node, right: _Node, on: Optional[Tuple[str, ...]]
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.spec = join_spec(left.columns, right.columns, on)
-        if not self.spec.join_columns:
-            raise IvmError("cannot maintain a padded cross join incrementally")
-        self.on = self.spec.join_columns
-        self.left_probe = left.make_probe(self.on)
-        self.right_probe = right.make_probe(self.on)
-        self.columns = left.columns + tuple(
-            c for c in right.columns if c not in left.columns
-        )
-        self.tables = left.tables | right.tables
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        spec = self.spec
-        if self.left.tables & rt.touched:
-            # ΔL ⟕ R_new: each signed left row matches or NULL-pads
-            for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                matches = (
-                    self.right_probe(rt, key, False) if key is not None else []
-                )
-                for row in join_rows([lrow], matches, spec, True, False):
-                    out.append((sign, row))
-        if self.right.tables & rt.touched:
-            by_key: Dict[Tuple[object, ...], List[Signed]] = {}
-            for sign, rrow in self.right.delta(rt):
-                key = join_key(rrow, self.on)
-                if key is None:
-                    continue  # NULL keys never join and LOJ never right-pads
-                by_key.setdefault(key, []).append((sign, rrow))
-            for key, signed_rows in by_key.items():
-                # L_old ⋈ ΔR (term one already covered ΔL against R_new)
-                left_old = self.left_probe(rt, key, True)
-                if not left_old:
-                    continue
-                for sign, rrow in signed_rows:
-                    for row in join_rows(left_old, [rrow], spec, False, False):
-                        out.append((sign, row))
-                # pad transitions: right match count crossing 0 ↔ positive
-                m_new = len(self.right_probe(rt, key, False))
-                m_old = m_new - sum(s for s, _ in signed_rows)
-                if m_old < 0:
-                    raise IvmError(
-                        f"negative right-side multiplicity at join key {key!r}"
-                    )
-                pad_sign = 0
-                if m_old == 0 and m_new > 0:
-                    pad_sign = -1  # old left rows lose their NULL-padded row
-                elif m_old > 0 and m_new == 0:
-                    pad_sign = +1  # old left rows regain the NULL-padded row
-                if pad_sign:
-                    for row in join_rows(left_old, [], spec, True, False):
-                        out.append((pad_sign, row))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        if tuple(columns) != tuple(self.on):
-            raise IvmError(
-                f"left-outer-join probe on {columns!r} does not match "
-                f"join key {self.on!r}"
-            )
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            left_rows = self.left_probe(rt, values, old)
-            if not left_rows:
-                return []
-            right_rows = self.right_probe(rt, values, old)
-            return join_rows(left_rows, right_rows, self.spec, True, False)
-
-        return probe
-
-
-def _compile(query: Query, context: StoreContext) -> _Node:
+def _leaf(query: Query, context: StoreContext) -> Node:
     if isinstance(query, TableScan):
         return _TableNode(query.table_name, context.scan_columns(query))
-    if isinstance(query, Select):
-        return _SelectNode(_compile(query.source, context), query.condition)
-    if isinstance(query, Project):
-        return _ProjectNode(_compile(query.source, context), query.items)
-    if isinstance(query, UnionAll):
-        return _UnionNode(
-            tuple(_compile(b, context) for b in query.branches),
-            output_columns(query, context),
-        )
-    if isinstance(query, LeftOuterJoin):
-        return _LojNode(
-            _compile(query.left, context),
-            _compile(query.right, context),
-            query.on,
-        )
-    if isinstance(query, Join):
-        return _JoinNode(
-            _compile(query.left, context),
-            _compile(query.right, context),
-            query.on,
-        )
     raise IvmError(f"no read-side delta rule for {type(query).__name__}")
+
+
+def _compile(query: Query, context: StoreContext) -> Node:
+    """Lower one branch's store query onto the counting-delta algebra."""
+    return compile_delta(query, context, _leaf)
 
 
 def _construct_row(
@@ -538,8 +208,8 @@ def _construct_row(
 
 
 class _Entry:
-    """One materialized answer: per-branch row bags plus the constructed
-    results.  Immutable after publication — maintenance builds a copy."""
+    """One materialized answer: per-branch multiplicity bags plus the
+    constructed results.  Immutable after publication — maintenance builds a copy."""
 
     __slots__ = (
         "values",
@@ -560,8 +230,8 @@ class _Entry:
         values: Tuple[object, ...],
         projection: Optional[Tuple[str, ...]],
         branches: Tuple[UnfoldedBranch, ...],
-        roots: Optional[Tuple[_Node, ...]],
-        bags: List[Dict[RowKey, Tuple[RowDict, int]]],
+        roots: Optional[Tuple[Node, ...]],
+        bags: List[Dict[RowKey, int]],
         constructed: Dict[Tuple[int, RowKey], object],
         tables: FrozenSet[str],
         fingerprint: str,
@@ -617,29 +287,26 @@ def build_entry(
     bound = plan.bind(values)
     context = StoreContext(state)
     try:
-        roots: Optional[Tuple[_Node, ...]] = tuple(
+        roots: Optional[Tuple[Node, ...]] = tuple(
             _compile(branch.store_query, StoreContext(StoreState(schema)))
             for branch in bound.branches
         )
     except IvmError:
         roots = None
     projection = plan.shape.projection
-    bags: List[Dict[RowKey, Tuple[RowDict, int]]] = []
+    bags: List[Dict[RowKey, int]] = []
     constructed: Dict[Tuple[int, RowKey], object] = {}
     cost = 0
     for bi, branch in enumerate(bound.branches):
-        per: Dict[RowKey, Tuple[RowDict, int]] = {}
+        per: Dict[RowKey, int] = {}
         for row in evaluate_query_bag(branch.store_query, context):
             key = _dedup_key(row)
-            slot = per.get(key)
-            if slot is None:
-                per[key] = (row, 1)
-            else:
-                per[key] = (slot[0], slot[1] + 1)
+            count = per.get(key, 0)
+            per[key] = count + 1
+            if not count:
+                constructed[(bi, key)] = _construct_row(projection, branch, row)
+                cost += len(key)
         bags.append(per)
-        for key, (row, _count) in per.items():
-            constructed[(bi, key)] = _construct_row(projection, branch, row)
-            cost += len(row)
     results = (
         list(executed_rows)
         if executed_rows is not None
@@ -666,39 +333,30 @@ def _maintained_entry(entry: _Entry, rt: _ReadRuntime, fingerprint: str) -> _Ent
     if entry.roots is None:
         raise IvmError("entry shape is not maintainable")
     constructed = dict(entry.constructed)
-    bags: List[Dict[RowKey, Tuple[RowDict, int]]] = []
+    bags: List[Dict[RowKey, int]] = []
     cost = entry.cost
     projection = entry.projection
     for bi, (root, bag, branch) in enumerate(
         zip(entry.roots, entry.bags, entry.branches)
     ):
-        if not (root.tables & rt.touched):
-            bags.append(bag)  # untouched branch: share the bag
-            continue
-        signed = root.delta(rt)
+        signed = [] if root.sources.isdisjoint(rt.touched) else root.delta(rt)
         if not signed:
-            bags.append(bag)
+            bags.append(bag)  # untouched branch: share the bag
             continue
         per = dict(bag)
         for sign, row in signed:
             key = _dedup_key(row)
-            slot = per.get(key)
-            count = (slot[1] if slot is not None else 0) + sign
-            if count < 0:
+            before, after = fold_signed(per, key, sign)
+            if after < 0:
                 raise IvmError(
                     "negative multiplicity in a maintained result bag"
                 )
-            if count == 0:
-                if slot is not None:
-                    del per[key]
-                    constructed.pop((bi, key), None)
-                    cost -= len(slot[0])
-            elif slot is None:
-                per[key] = (row, count)
+            if before and not after:
+                del constructed[(bi, key)]
+                cost -= len(key)
+            elif after and not before:
                 constructed[(bi, key)] = _construct_row(projection, branch, row)
-                cost += len(row)
-            else:
-                per[key] = (slot[0], count)
+                cost += len(key)
         bags.append(per)
     return _Entry(
         values=entry.values,
@@ -950,25 +608,12 @@ class ResultCache:
         with the evolved fingerprint — their sets and tables are provably
         outside the batch's touched neighborhood, so their data and
         model slice are unchanged."""
-        raw = delta.touched()
-        hood = delta.touched_neighborhood(mapping)
-        touched_sets = set(raw.sets) | set(hood.sets)
-        touched_tables = set(raw.tables) | set(hood.tables)
-        schema = (
-            mapping.client_schema
-            if hasattr(mapping, "client_schema")
-            else mapping
-        )
+        scope = invalidation_scope(delta, mapping)
         with self._lock:
             clone = self._clone_empty()
             clone._unsupported = set()  # shapes may become maintainable
             for full, entry in self._entries.items():
-                set_name = full[0][0]
-                if (
-                    set_name in touched_sets
-                    or not schema.has_entity_set(set_name)
-                    or (entry.tables & touched_tables)
-                ):
+                if scope.stales_set(full[0][0]) or scope.stales_tables(entry.tables):
                     clone.invalidated += 1
                     continue
                 if entry.fingerprint != fingerprint:

@@ -452,3 +452,94 @@ class TestFallback:
             state.update_entity("Persons", Entity.of("Person", Id=2, Name="bob2"))
         assert inc.backend.snapshot() == ref.backend.snapshot()
         assert inc.engine.stats().ivm_fallbacks == 1
+
+
+# ---------------------------------------------------------------------------
+# Writeplans over the shared counting-delta algebra
+# ---------------------------------------------------------------------------
+
+def holds_state(model, links=()) -> ClientState:
+    state = ClientState(model.client_schema)
+    state.add_entity("P2s", Entity.of("Person2", Id=1, Name="ann"))
+    state.add_entity("Passports", Entity.of("Passport", Pno=10, Country="fr"))
+    state.add_entity("Passports", Entity.of("Passport", Pno=11, Country="de"))
+    for key1, key2 in links:
+        state.add_association("Holds", key1, key2)
+    return state
+
+
+class TestWriteplanAlgebra:
+    def test_loj_delta_rule_pad_terms_over_client_leaves(self):
+        """White-box: the Pass update view is Passports ⟕ Holds on Pno;
+        its compiled rule must emit the pad-transition terms so the
+        maintained bag equals a fresh bag evaluation, for association
+        deltas crossing 0 in both directions."""
+        from repro.algebra.evaluate import ClientContext, evaluate_query_bag
+        from repro.algebra.queries import AssociationScan, LeftOuterJoin, SetScan
+        from repro.ivm.writeplan import _Runtime, compile_writeplan
+
+        model = holds_model()
+        view = model.views.update_views["Pass"]
+        scans = {type(node) for node in view.query.walk()}
+        assert {LeftOuterJoin, SetScan, AssociationScan} <= scans
+        plan = compile_writeplan(view, model.client_schema)
+
+        def bag(state):
+            counts = {}
+            for row in evaluate_query_bag(view.query, ClientContext(state)):
+                key = tuple(sorted(row.items()))
+                counts[key] = counts.get(key, 0) + 1
+            return counts
+
+        def propagate(start, state, mutate):
+            delta = ClientDelta()
+            state.record_into(delta)
+            mutate(state)
+            state.stop_recording()
+            assert delta.sources() == frozenset({"Holds"})
+            maintained = dict(bag(start))
+            for sign, row in plan.root.delta(_Runtime(delta, state)):
+                key = tuple(sorted(row.items()))
+                maintained[key] = maintained.get(key, 0) + sign
+            return {k: c for k, c in maintained.items() if c}
+
+        old = holds_state(model)
+        new = holds_state(model)
+        linked = propagate(old, new, lambda s: s.add_association("Holds", (1,), (10,)))
+        assert linked == bag(holds_state(model, [((1,), (10,))]))  # 0 -> 1: pad retired
+
+        # and back: removing the link must resurrect the pad row
+        unlinked = propagate(
+            holds_state(model, [((1,), (10,))]),
+            new,
+            lambda s: s.remove_association("Holds", (1,), (10,)),
+        )
+        assert unlinked == bag(old)
+
+    def test_one_writeplan_per_view_across_delta_shapes(self):
+        """An entity-only delta and an association-only delta on the same
+        view reuse one lowered plan: branches are skipped at run time by
+        their sources, not specialised per delta shape."""
+        model = holds_model()
+        session = OrmSession(model)
+        session.save(holds_state(model))
+        session.save_delta(
+            DeltaScript(
+                (
+                    EntityOp(
+                        "update", "Passports",
+                        entity=Entity.of("Passport", Pno=10, Country="it"),
+                    ),
+                )
+            )
+        )
+        session.save_delta(
+            DeltaScript((AssociationOp("insert", "Holds", key1=(1,), key2=(10,)),))
+        )
+        stats = session.serving_stats().writeplans
+        assert stats.compiled == 1  # the Pass view, lowered once
+        assert stats.hits == 1
+        assert session.engine.stats().ivm_fallbacks == 0
+        reference = OrmSession(model)
+        reference.save(session.load())
+        assert session.backend.snapshot() == reference.backend.snapshot()

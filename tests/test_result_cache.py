@@ -406,6 +406,50 @@ class TestFallbackAndEviction:
         reference.save(session.load().embed_into(model.client_schema))
         assert canon(session.query(query)) == canon(reference.query(query))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failed_successor_counts_a_fallback(self, backend, monkeypatch):
+        """A tier successor that raises inside the commit window degrades
+        to an empty tier — counted in ``fallbacks``, never swallowed
+        silently — and answers still match the re-execution oracle."""
+        from repro.query.resultcache import ResultCache
+
+        model = compiled(mapping_stage3())
+        cached, reference = cached_and_reference(model, backend)
+        try:
+            seeded = random_client_state(
+                model.client_schema, seed=3, entities_per_set=5
+            )
+            cached.save(seeded)
+            reference.save(seeded)
+            queries = probe_queries(model.client_schema)
+            assert_answers_agree(cached, reference, queries)
+            before = result_stats(cached)
+            assert before.entries > 0
+
+            def refuse(*_args, **_kwargs):
+                raise RuntimeError("forced for the test")
+
+            monkeypatch.setattr(ResultCache, "successor_for_delta", refuse)
+            person = reference.load().entities("Persons")[0]
+            rewritten = Entity.of(
+                person.concrete_type,
+                **{**dict(person.values), "Name": "rewritten"},
+            )
+            cached.save_delta(
+                DeltaScript((EntityOp("update", "Persons", entity=rewritten),))
+            )
+            with reference.edit() as state:
+                state.update_entity("Persons", rewritten)
+            after = result_stats(cached)
+            assert after.fallbacks == before.fallbacks + 1
+            assert after.entries == 0
+            monkeypatch.undo()
+            assert_answers_agree(cached, reference, queries)
+            assert_answers_agree(cached, reference, queries)
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
     def test_lru_evicts_by_cost_not_entry_count(self):
         """With a budget smaller than the hot set, total cost must stay
         under the budget while cheap entries keep fitting — one huge
